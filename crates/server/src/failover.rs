@@ -208,14 +208,15 @@ pub(crate) struct StatusView {
     pub(crate) ring_epoch: u64,
 }
 
-/// Probe `addr` over `GET /v1/replication/status`. `None` when the peer
-/// is unreachable or answers anything but 200 — the detector's (and the
-/// quorum voters') definition of "down".
-pub(crate) fn probe_status(addr: &str) -> Option<StatusView> {
+/// Probe `addr` over `GET /v1/replication/status`, on a pooled
+/// connection. `None` when the peer is unreachable or answers anything
+/// but 200 — the detector's (and the quorum voters') definition of
+/// "down".
+pub(crate) fn probe_status(state: &ServiceState, addr: &str) -> Option<StatusView> {
     metrics::FAILOVER_PROBES.incr();
-    let response = PeerClient::connect(addr)
-        .ok()?
-        .request("GET", "/v1/replication/status", None)
+    let response = state
+        .peers
+        .get(&state.counters, addr, "/v1/replication/status", &[])
         .ok()?;
     if response.status != 200 {
         return None;
@@ -331,7 +332,7 @@ fn tick(state: &Arc<ServiceState>, consecutive_failures: &mut u32, suspect_after
         return;
     }
     let head = chain.head().to_string();
-    match probe_status(&head) {
+    match probe_status(state, &head) {
         Some(status) => {
             *consecutive_failures = 0;
             // Ring anti-entropy upward: a head answering with an older
@@ -423,7 +424,7 @@ fn promote_self(state: &ServiceState, router: &ShardRouter, dead_head: &str) {
 fn head_tick(state: &Arc<ServiceState>, router: &ShardRouter, chain: &ChainEntry) {
     let self_addr = router.self_addr();
     for addr in state.failover.deposed_snapshot() {
-        if probe_status(&addr).is_none() {
+        if probe_status(state, &addr).is_none() {
             continue;
         }
         // The revived head may hold commits it acked but never shipped
@@ -446,7 +447,7 @@ fn head_tick(state: &Arc<ServiceState>, router: &ShardRouter, chain: &ChainEntry
         if *member == self_addr {
             continue;
         }
-        let Some(status) = probe_status(member) else {
+        let Some(status) = probe_status(state, member) else {
             continue;
         };
         if status.ring_epoch < ring.epoch() {

@@ -211,6 +211,11 @@ pub struct ServiceState {
     /// Failover bookkeeping: the supervised puller slot, deposed heads
     /// awaiting revival, and the detector stop flag.
     pub failover: failover::FailoverState,
+    /// Keep-alive peer connections for the proxy leg and status probes,
+    /// at most `threads` idle per peer.
+    pub peers: replication::PeerPool,
+    /// This node's own counters (see [`metrics::NodeCounters`]).
+    pub counters: metrics::NodeCounters,
 }
 
 impl ServiceState {
@@ -275,6 +280,8 @@ impl ServiceState {
             CompiledTier::DEFAULT_CAPACITY,
         );
         Ok(ServiceState {
+            peers: replication::PeerPool::new(config.threads),
+            counters: metrics::NodeCounters::new(),
             config,
             cache,
             kbs,

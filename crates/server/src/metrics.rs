@@ -179,9 +179,6 @@ pub static REPLICATION_SECTION: Section = Section {
 pub static SHARD_REDIRECTS: Counter = Counter::new("redirects");
 /// Reads proxied to the owning member on the caller's behalf.
 pub static SHARD_PROXIED_READS: Counter = Counter::new("proxied_reads");
-/// Proxied reads that failed (owner unreachable or an injected
-/// `shard_proxy_drop`), answered 502.
-pub static SHARD_PROXY_FAILURES: Counter = Counter::new("proxy_failures");
 /// Requests refused 421 for routing against a stale ring epoch
 /// (including injected `shard_ring_stale` charges).
 pub static SHARD_STALE_RING_REFUSALS: Counter = Counter::new("stale_ring_refusals");
@@ -207,7 +204,6 @@ pub static SHARDING_SECTION: Section = Section {
     counters: &[
         &SHARD_REDIRECTS,
         &SHARD_PROXIED_READS,
-        &SHARD_PROXY_FAILURES,
         &SHARD_STALE_RING_REFUSALS,
         &SHARD_RING_CHANGES,
         &SHARD_KBS_MIGRATED,
@@ -247,9 +243,6 @@ pub static FAILOVER_FENCED_WRITES: Counter = Counter::new("fenced_writes");
 /// Δ-arbitration reconciles run against a revived deposed head to
 /// absorb commits it acked but never shipped.
 pub static FAILOVER_RECONCILES: Counter = Counter::new("failover_reconciles");
-/// Proxied-read retry attempts taken by the backoff loop (each retry
-/// after the first attempt counts once).
-pub static FAILOVER_PROXY_RETRIES: Counter = Counter::new("proxy_retries");
 
 /// The `"failover"` section: per-shard replica chains.
 pub static FAILOVER_SECTION: Section = Section {
@@ -264,10 +257,63 @@ pub static FAILOVER_SECTION: Section = Section {
         &FAILOVER_DEMOTIONS,
         &FAILOVER_FENCED_WRITES,
         &FAILOVER_RECONCILES,
-        &FAILOVER_PROXY_RETRIES,
     ],
     timers: &[],
 };
+
+/// Counters scoped to one node (one [`crate::ServiceState`]) instead of
+/// the process. Tests run several nodes in one process and assert on
+/// these, which a process-global static would mix with the other nodes'
+/// traffic; `/metrics` renders them inside their sections.
+pub struct NodeCounters {
+    /// `sharding.proxy_failures`: proxied reads that failed every attempt
+    /// (owner unreachable or an injected `shard_proxy_drop`), answered 502.
+    pub proxy_failures: Counter,
+    /// `sharding.peer_connects`: connections the peer pool opened.
+    pub peer_connects: Counter,
+    /// `sharding.peer_reuses`: peer requests answered on a pooled
+    /// keep-alive connection.
+    pub peer_reuses: Counter,
+    /// `sharding.peer_stale_retries`: pooled connections the peer had
+    /// closed, whose request was retried once on a fresh connection.
+    pub peer_stale_retries: Counter,
+    /// `failover.proxy_retries`: proxied-read retry attempts taken by the
+    /// backoff loop (each retry after the first attempt counts once).
+    pub proxy_retries: Counter,
+}
+
+impl NodeCounters {
+    /// Every counter at zero.
+    pub const fn new() -> NodeCounters {
+        NodeCounters {
+            proxy_failures: Counter::new("proxy_failures"),
+            peer_connects: Counter::new("peer_connects"),
+            peer_reuses: Counter::new("peer_reuses"),
+            peer_stale_retries: Counter::new("peer_stale_retries"),
+            proxy_retries: Counter::new("proxy_retries"),
+        }
+    }
+
+    /// The counters of section `name`, in display order.
+    fn of_section(&self, name: &str) -> Vec<&Counter> {
+        match name {
+            "sharding" => vec![
+                &self.proxy_failures,
+                &self.peer_connects,
+                &self.peer_reuses,
+                &self.peer_stale_retries,
+            ],
+            "failover" => vec![&self.proxy_retries],
+            _ => Vec::new(),
+        }
+    }
+}
+
+impl Default for NodeCounters {
+    fn default() -> NodeCounters {
+        NodeCounters::new()
+    }
+}
 
 /// Wall-clock handling latency of `/v1/arbitrate` requests.
 pub static LATENCY_ARBITRATE: Histogram = Histogram::new("arbitrate");
@@ -327,9 +373,9 @@ pub fn record_response(status: u16) {
 }
 
 /// The full `/metrics` document: the workspace telemetry snapshot
-/// (including this crate's `"server"` section) plus per-endpoint latency
-/// histograms.
-pub fn metrics_json() -> String {
+/// (including this crate's `"server"` section, with `node`'s own counters
+/// merged into their sections) plus per-endpoint latency histograms.
+pub fn metrics_json(node: &NodeCounters) -> String {
     let mut sections: Vec<&'static Section> = arbitrex_core::telemetry::sections().to_vec();
     sections.push(&SERVER_SECTION);
     sections.push(&EVENT_LOOP_SECTION);
@@ -338,7 +384,12 @@ pub fn metrics_json() -> String {
     sections.push(&REPLICATION_SECTION);
     sections.push(&SHARDING_SECTION);
     sections.push(&FAILOVER_SECTION);
-    let snapshot = arbitrex_telemetry::snapshot_of(&sections);
+    let mut snapshot = arbitrex_telemetry::snapshot_of(&sections);
+    for section in &mut snapshot.sections {
+        for counter in node.of_section(section.name) {
+            section.counters.push((counter.name(), counter.get()));
+        }
+    }
     let mut out = String::with_capacity(2048);
     out.push_str("{\"telemetry\": ");
     out.push_str(&snapshot.to_json());
@@ -376,7 +427,7 @@ mod tests {
 
     #[test]
     fn metrics_json_contains_every_section_and_histogram() {
-        let text = metrics_json();
+        let text = metrics_json(&NodeCounters::new());
         for section in [
             "kernel",
             "weighted",
@@ -414,6 +465,31 @@ mod tests {
         }
         assert!(text.contains("\"accepted\""));
         assert!(text.contains("\"rejected\""));
+    }
+
+    #[test]
+    fn node_counters_render_inside_their_sections() {
+        let node = NodeCounters::new();
+        node.peer_connects.add(3);
+        node.proxy_retries.incr();
+        let doc = crate::json::parse(&metrics_json(&node)).expect("metrics is JSON");
+        let counter = |section: &str, name: &str| {
+            doc.get("telemetry")
+                .and_then(|t| t.get(section))
+                .and_then(|s| s.get(name))
+                .and_then(|v| v.as_u64())
+        };
+        let enabled = arbitrex_telemetry::enabled();
+        assert_eq!(
+            counter("sharding", "peer_connects"),
+            Some(if enabled { 3 } else { 0 })
+        );
+        assert_eq!(counter("sharding", "peer_stale_retries"), Some(0));
+        assert_eq!(counter("sharding", "proxy_failures"), Some(0));
+        assert_eq!(
+            counter("failover", "proxy_retries"),
+            Some(if enabled { 1 } else { 0 })
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! because a network fault heals; the replica's reconnect/backoff/CRC
 //! machinery is what is under test.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,7 +51,7 @@ use arbitrex_logic::{canonical_key, parse as parse_formula, ENUM_LIMIT};
 
 use crate::json::{self, Json};
 use crate::kb::{ApplyOutcome, StoredKb};
-use crate::metrics;
+use crate::metrics::{self, NodeCounters};
 use crate::snapshot;
 use crate::wal;
 use crate::ServiceState;
@@ -440,6 +440,10 @@ pub struct PeerResponse {
     pub body: Vec<u8>,
     /// The individual chunks of a chunked response.
     pub chunks: Option<Vec<Vec<u8>>>,
+    /// The body was fully framed (`Content-Length` or a completed
+    /// chunked body) and the peer did not say `Connection: close`: the
+    /// connection may carry another request.
+    pub(crate) reusable: bool,
 }
 
 impl PeerResponse {
@@ -545,6 +549,9 @@ impl PeerClient {
                 headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
             }
         }
+        let keep_alive = !headers
+            .iter()
+            .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
         let chunked = headers
             .iter()
             .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
@@ -556,8 +563,16 @@ impl PeerClient {
                 let size = usize::from_str_radix(size_line.trim(), 16)
                     .map_err(|_| io::Error::other(format!("bad chunk size `{size_line}`")))?;
                 if size == 0 {
-                    let _ = self.read_line(); // trailing CRLF after the last chunk
-                    break;
+                    // The blank line closing the body; anything else
+                    // (trailers, a cut stream) leaves the framing unsure.
+                    let closed = self.read_line().is_ok_and(|l| l.is_empty());
+                    return Ok(PeerResponse {
+                        status,
+                        headers,
+                        body,
+                        chunks: Some(chunks),
+                        reusable: keep_alive && closed,
+                    });
                 }
                 let mut chunk = vec![0u8; size];
                 self.reader.read_exact(&mut chunk)?;
@@ -566,26 +581,114 @@ impl PeerClient {
                 body.extend_from_slice(&chunk);
                 chunks.push(chunk);
             }
-            return Ok(PeerResponse {
-                status,
-                headers,
-                body,
-                chunks: Some(chunks),
-            });
         }
+        // Without a length the body runs to the close; it is read as
+        // empty and the connection is not reused.
         let length = headers
             .iter()
             .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        let mut body = vec![0u8; length];
+            .and_then(|(_, v)| v.parse::<usize>().ok());
+        let mut body = vec![0u8; length.unwrap_or(0)];
         self.reader.read_exact(&mut body)?;
         Ok(PeerResponse {
             status,
             headers,
             body,
             chunks: None,
+            reusable: keep_alive && length.is_some(),
         })
+    }
+}
+
+/// A node's keep-alive pool of peer connections for idempotent GETs —
+/// the shard proxy leg and the failure detector's status probe — keyed
+/// by peer address (RFC 9112 §9.3 persistent connections). It keeps at
+/// most `cap` idle connections per peer: a worker holds at most one
+/// leg at a time, so the node's worker count bounds what could ever be
+/// reused. POSTs stay connect-per-call: they are rare, and resending a
+/// non-idempotent request after a failed write is unsafe.
+pub struct PeerPool {
+    idle: Mutex<HashMap<String, Vec<PeerClient>>>,
+    cap: usize,
+}
+
+impl PeerPool {
+    /// An empty pool keeping at most `cap` idle connections per peer.
+    pub fn new(cap: usize) -> PeerPool {
+        PeerPool {
+            idle: Mutex::new(HashMap::new()),
+            cap,
+        }
+    }
+
+    /// `GET path` at `addr` over a pooled connection, opening one when
+    /// none is idle. A pooled connection the peer has closed since
+    /// (keep-alive reaping, restart, kill-9) fails on this request; the
+    /// request is then retried exactly once on a fresh connection, which
+    /// is safe because a GET is idempotent. A read timeout is not
+    /// staleness and is returned as is, as is any failure of the fresh
+    /// connection.
+    pub fn get(
+        &self,
+        counters: &NodeCounters,
+        addr: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+    ) -> io::Result<PeerResponse> {
+        let pooled = self
+            .idle
+            .lock()
+            .expect("peer pool lock poisoned")
+            .get_mut(addr)
+            .and_then(Vec::pop);
+        if let Some(mut client) = pooled {
+            match client.request_with_headers("GET", path, None, headers) {
+                Ok(response) => {
+                    counters.peer_reuses.incr();
+                    self.put_back(addr, client, &response);
+                    return Ok(response);
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Err(e)
+                }
+                Err(_) => counters.peer_stale_retries.incr(),
+            }
+        }
+        let mut client = PeerClient::connect(addr)?;
+        counters.peer_connects.incr();
+        let response = client.request_with_headers("GET", path, None, headers)?;
+        self.put_back(addr, client, &response);
+        Ok(response)
+    }
+
+    /// Return `client` to the pool if `response` left it reusable and
+    /// the peer's slot has room; otherwise it closes here.
+    fn put_back(&self, addr: &str, client: PeerClient, response: &PeerResponse) {
+        if !response.reusable {
+            return;
+        }
+        let mut idle = self.idle.lock().expect("peer pool lock poisoned");
+        match idle.get_mut(addr) {
+            Some(slot) if slot.len() >= self.cap => {}
+            Some(slot) => slot.push(client),
+            None => {
+                idle.insert(addr.to_string(), vec![client]);
+            }
+        }
+    }
+
+    /// Idle connections held for `addr`.
+    pub fn idle(&self, addr: &str) -> usize {
+        self.idle
+            .lock()
+            .expect("peer pool lock poisoned")
+            .get(addr)
+            .map_or(0, Vec::len)
     }
 }
 
@@ -854,12 +957,13 @@ fn parse_digest(body: &[u8]) -> Result<Vec<DigestEntry>, String> {
     Ok(out)
 }
 
-/// Fetch one KB's formula text and seq from the peer.
-fn fetch_peer_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String> {
-    // Anti-entropy addresses a *node*, not the namespace: the shard
-    // bypass header makes a sharded peer serve its own local copy
-    // instead of proxying the read back through the ring (which would
-    // hand this node its own theory and turn the Δ-merge into a no-op).
+/// Fetch one KB's formula text and seq from the peer — the one KB fetch
+/// behind both anti-entropy and shard handoff. Both address a *node*,
+/// not the namespace: the shard bypass header makes a sharded peer serve
+/// its own local copy instead of routing the read by its ring (which
+/// would hand a reconciling node its own theory and turn the Δ-merge
+/// into a no-op, and send a handoff pull to the new owner — this node).
+pub(crate) fn fetch_peer_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String> {
     let response = client
         .request_with_headers(
             "GET",
@@ -1247,6 +1351,115 @@ mod tests {
                 );
             }
             assert_eq!(backoff.delay, BACKOFF_MAX);
+        }
+    }
+
+    /// Read one request head off `stream`.
+    fn read_request_head(stream: &TcpStream) {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+            line.clear();
+        }
+    }
+
+    /// A one-shot peer: accepts `responses.len()` connections, reads one
+    /// request head on each, and answers it with the canned response only
+    /// once every connection is in, holding each socket open until the
+    /// test ends.
+    fn one_shot_peer(responses: Vec<&'static str>) -> (String, thread::JoinHandle<Vec<TcpStream>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = thread::spawn(move || {
+            let mut conns = Vec::new();
+            for _ in &responses {
+                let (stream, _) = listener.accept().unwrap();
+                read_request_head(&stream);
+                conns.push(stream);
+            }
+            for (stream, response) in conns.iter_mut().zip(&responses) {
+                stream.write_all(response.as_bytes()).unwrap();
+            }
+            conns
+        });
+        (addr, handle)
+    }
+
+    const FRAMED: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}";
+
+    #[test]
+    fn peer_pool_keeps_only_reusable_connections_up_to_its_cap() {
+        let counters = NodeCounters::new();
+        let pool = PeerPool::new(2);
+
+        // A fully framed keep-alive answer is pooled.
+        let (addr, peer) = one_shot_peer(vec![FRAMED]);
+        let response = pool.get(&counters, &addr, "/", &[]).unwrap();
+        assert_eq!(
+            (response.status, response.body.as_slice()),
+            (200, &b"{}"[..])
+        );
+        assert_eq!(pool.idle(&addr), 1);
+        drop(peer.join().expect("one-shot peer"));
+
+        // `Connection: close` is honored: not pooled.
+        let (addr, peer) = one_shot_peer(vec![
+            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
+        ]);
+        assert_eq!(pool.get(&counters, &addr, "/", &[]).unwrap().status, 200);
+        assert_eq!(pool.idle(&addr), 0);
+        drop(peer.join().expect("one-shot peer"));
+
+        // No framing (neither a length nor chunks): the body runs to the
+        // close, so the connection cannot carry another request.
+        let (addr, peer) = one_shot_peer(vec!["HTTP/1.1 200 OK\r\n\r\n"]);
+        assert_eq!(pool.get(&counters, &addr, "/", &[]).unwrap().status, 200);
+        assert_eq!(pool.idle(&addr), 0);
+        drop(peer.join().expect("one-shot peer"));
+
+        // Three legs in flight at once open three connections (the peer
+        // answers none until all three are in); only the cap goes back.
+        let (addr, peer) = one_shot_peer(vec![FRAMED; 3]);
+        thread::scope(|s| {
+            let legs: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| pool.get(&counters, &addr, "/", &[]).unwrap().status))
+                .collect();
+            for leg in legs {
+                assert_eq!(leg.join().unwrap(), 200);
+            }
+        });
+        assert_eq!(pool.idle(&addr), 2);
+        drop(peer.join().expect("one-shot peer"));
+        if arbitrex_telemetry::enabled() {
+            assert_eq!(counters.peer_connects.get(), 6);
+            assert_eq!(counters.peer_reuses.get(), 0);
+        }
+    }
+
+    #[test]
+    fn peer_pool_retries_a_closed_connection_once_on_a_fresh_one() {
+        let counters = NodeCounters::new();
+        let pool = PeerPool::new(4);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // The peer answers one request per connection and closes each
+        // one after answering, as a keep-alive reaper would.
+        let peer = thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut stream, _) = listener.accept().unwrap();
+                read_request_head(&stream);
+                stream.write_all(FRAMED.as_bytes()).unwrap();
+            }
+        });
+        assert_eq!(pool.get(&counters, &addr, "/", &[]).unwrap().status, 200);
+        assert_eq!(pool.idle(&addr), 1);
+        // The pooled connection is dead: one retry, on a fresh one.
+        assert_eq!(pool.get(&counters, &addr, "/", &[]).unwrap().status, 200);
+        peer.join().unwrap();
+        if arbitrex_telemetry::enabled() {
+            assert_eq!(counters.peer_stale_retries.get(), 1);
+            assert_eq!(counters.peer_connects.get(), 2);
+            assert_eq!(counters.peer_reuses.get(), 0);
         }
     }
 

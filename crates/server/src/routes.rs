@@ -248,7 +248,7 @@ fn outcome_json(
 // --- endpoint handlers ------------------------------------------------------
 
 fn handle_metrics(state: &ServiceState) -> Response {
-    let mut text = metrics::metrics_json();
+    let mut text = metrics::metrics_json(&state.counters);
     let (role, epoch, head, visible, lag) = match state.kbs.replication() {
         Some(log) => (
             if log.read_only() { 0 } else { 1 },
@@ -736,7 +736,7 @@ fn cluster_probe(state: &ServiceState, req: &Request) -> Response {
     if addr.is_empty() {
         return error_response(400, "field `addr` must be a host:port");
     }
-    let reachable = crate::failover::probe_status(addr).is_some();
+    let reachable = crate::failover::probe_status(state, addr).is_some();
     ok(obj([
         ("addr", json::s(addr)),
         ("reachable", Json::Bool(reachable)),
@@ -1282,13 +1282,10 @@ fn proxy_leg(
     if let Some(min) = min_seq {
         headers.push(("x-arbitrex-min-seq", min));
     }
-    PeerClient::connect(target)
-        .map_err(|e| format!("connect {target}: {e}"))
-        .and_then(|mut client| {
-            client
-                .request_with_headers("GET", &format!("/v1/kb/{name}"), None, &headers)
-                .map_err(|e| format!("proxy to {target}: {e}"))
-        })
+    state
+        .peers
+        .get(&state.counters, target, &format!("/v1/kb/{name}"), &headers)
+        .map_err(|e| format!("proxy to {target}: {e}"))
 }
 
 /// A peer's `Retry-After` header in seconds, if it sent one.
@@ -1367,7 +1364,7 @@ fn shard_proxy_get(
             }
         };
         if attempt + 1 < PROXY_ATTEMPTS {
-            metrics::FAILOVER_PROXY_RETRIES.incr();
+            state.counters.proxy_retries.incr();
             let mut delay = backoff.next_delay();
             if let Some(hint) = retry_after {
                 delay = delay.max(hint.min(PROXY_RETRY_CAP));
@@ -1375,7 +1372,7 @@ fn shard_proxy_get(
             std::thread::sleep(delay);
         }
     }
-    metrics::SHARD_PROXY_FAILURES.incr();
+    state.counters.proxy_failures.incr();
     let mut resp = error_response(
         502,
         format!("{last_failure} (after {PROXY_ATTEMPTS} attempts)"),

@@ -55,7 +55,7 @@ use arbitrex_logic::parse as parse_formula;
 use crate::json::{self, Json};
 use crate::kb::StoredKb;
 use crate::metrics;
-use crate::replication::{PeerClient, PeerResponse};
+use crate::replication::{fetch_peer_kb, PeerClient, PeerResponse};
 use crate::ServiceState;
 
 /// Virtual nodes per member unless `--shard-vnodes` says otherwise.
@@ -918,35 +918,6 @@ fn parse_listing(response: &PeerResponse) -> Result<Vec<SourceKb>, String> {
     Ok(out)
 }
 
-/// Fetch one KB (formula text + seq) from a source, on the internal
-/// bypass so the old owner serves its local copy even though the ring
-/// no longer points at it.
-fn fetch_source_kb(client: &mut PeerClient, name: &str) -> Result<(String, u64), String> {
-    let response = client
-        .request_with_headers(
-            "GET",
-            &format!("/v1/kb/{name}"),
-            None,
-            &[(INTERNAL_HEADER, "1")],
-        )
-        .map_err(|e| format!("source unreachable: {e}"))?;
-    if response.status != 200 {
-        return Err(format!("source answered {} for `{name}`", response.status));
-    }
-    let text = std::str::from_utf8(&response.body).map_err(|_| "KB body not UTF-8".to_string())?;
-    let doc = json::parse(text).map_err(|e| format!("KB body does not parse: {e}"))?;
-    let formula = doc
-        .get("formula")
-        .and_then(|v| v.as_str())
-        .ok_or("KB body has no formula")?
-        .to_string();
-    let seq = doc
-        .get("seq")
-        .and_then(|v| v.as_u64())
-        .ok_or("KB body has no seq")?;
-    Ok((formula, seq))
-}
-
 /// Ask `client`'s peer to drop its copy of `name`, guarded by the seq
 /// this node pulled. `Ok(true)` released, `Ok(false)` seq conflict (a
 /// commit raced the handoff — re-pull), `Err` transport trouble or an
@@ -1127,7 +1098,7 @@ fn migrate_one(
 /// Fetch `name` from the source and land it verbatim (seq included) so
 /// the digests agree afterwards. Returns the adopted seq.
 fn pull_one(state: &ServiceState, client: &mut PeerClient, name: &str) -> Result<u64, String> {
-    let (text, seq) = fetch_source_kb(client, name)?;
+    let (text, seq) = fetch_peer_kb(client, name)?;
     let mut sig = arbitrex_logic::Sig::new();
     let formula =
         parse_formula(&mut sig, &text).map_err(|e| format!("source formula unparsable: {e}"))?;

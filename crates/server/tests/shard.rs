@@ -468,6 +468,110 @@ fn proxy_drop_fault_is_retried_to_success() {
     assert_eq!(status, 200, "{v:?}");
 }
 
+/// A per-node counter from `server`'s own `/metrics`.
+fn node_counter(server: &RunningServer, section: &str, name: &str) -> u64 {
+    let (status, doc) = request(server, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{doc:?}");
+    doc.get("telemetry")
+        .and_then(|t| t.get(section))
+        .and_then(|s| s.get(name))
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("no `{section}.{name}` in {doc:?}"))
+}
+
+#[test]
+fn proxied_reads_share_at_most_threads_pooled_connections() {
+    let (dir1, dir2) = (temp_state_dir("pool1"), temp_state_dir("pool2"));
+    let n1 = shard_server(&dir1, |_| {});
+    // No keep-alive reaping at the owner: every connect below is the
+    // pool's doing.
+    let n2 = shard_server(&dir2, |c| c.keep_alive_timeout_ms = 0);
+    let (status, _) = request(
+        &n1,
+        "POST",
+        "/v1/cluster/join",
+        &format!(r#"{{"addr": "{}"}}"#, n2.addr),
+    );
+    assert_eq!(status, 200);
+    let ring = two_ring(n1.addr, n2.addr);
+    let theirs = names_owned_by(&ring, n2.addr, 4);
+    for name in &theirs {
+        put(&n2, name, "A & !B");
+    }
+
+    let threads = n1.state().config.threads as u64;
+    let connects_before = node_counter(&n1, "sharding", "peer_connects");
+    // 200 proxied reads from 4 concurrent clients: more callers than
+    // workers, so every worker runs proxy legs side by side.
+    std::thread::scope(|s| {
+        for name in &theirs {
+            let n1 = &n1;
+            s.spawn(move || {
+                let mut client = Client::connect_server(n1);
+                for _ in 0..50 {
+                    let (status, v) = client.request("GET", &format!("/v1/kb/{name}"), "");
+                    assert_eq!(status, 200, "{v:?}");
+                    assert_eq!(str_of(&v, "name"), name.as_str());
+                }
+            });
+        }
+    });
+    let opened = node_counter(&n1, "sharding", "peer_connects") - connects_before;
+    assert!(
+        (1..=threads).contains(&opened),
+        "200 proxied reads opened {opened} connections; the pool allows {threads}"
+    );
+    assert!(n1.state().peers.idle(&n2.addr.to_string()) as u64 <= threads);
+}
+
+#[test]
+fn reaped_pooled_connection_is_retried_once_without_a_proxy_retry() {
+    let (dir1, dir2) = (temp_state_dir("stale1"), temp_state_dir("stale2"));
+    let n1 = shard_server(&dir1, |_| {});
+    let n2 = shard_server(&dir2, |c| c.keep_alive_timeout_ms = 100);
+    let (status, _) = request(
+        &n1,
+        "POST",
+        "/v1/cluster/join",
+        &format!(r#"{{"addr": "{}"}}"#, n2.addr),
+    );
+    assert_eq!(status, 200);
+    let ring = two_ring(n1.addr, n2.addr);
+    let theirs = name_owned_by(&ring, n2.addr);
+    put(&n2, &theirs, "A | !C");
+
+    // The first proxied read leaves one pooled connection to the owner.
+    let (status, v) = request(&n1, "GET", &format!("/v1/kb/{theirs}"), "");
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(n1.state().peers.idle(&n2.addr.to_string()), 1);
+
+    // Past the owner's reap time (100ms idle, swept every 500ms) that
+    // connection is closed at the owner's end.
+    std::thread::sleep(Duration::from_millis(2000));
+    let counters = |node: &RunningServer| {
+        (
+            node_counter(node, "sharding", "peer_stale_retries"),
+            node_counter(node, "failover", "proxy_retries"),
+            node_counter(node, "sharding", "proxy_failures"),
+        )
+    };
+    let (stale_before, retries_before, failures_before) = counters(&n1);
+    let (status, v) = request(&n1, "GET", &format!("/v1/kb/{theirs}"), "");
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(str_of(&v, "name"), theirs);
+    let (stale_after, retries_after, failures_after) = counters(&n1);
+    assert_eq!(
+        stale_after - stale_before,
+        1,
+        "one stale retry inside the pool"
+    );
+    assert_eq!(
+        retries_after, retries_before,
+        "the stale retry is not a proxy retry"
+    );
+    assert_eq!(failures_after, failures_before);
+}
+
 #[test]
 fn ring_stale_fault_injects_one_421() {
     let dir = temp_state_dir("ringstale");
